@@ -1,0 +1,13 @@
+"""Make the checkout's ``src/`` and the ``perfbench`` package importable.
+
+Run with ``PYTHONPATH=src python3 -m pytest perfbench/tests -q`` from the
+repository root.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
