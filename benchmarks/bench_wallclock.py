@@ -3,10 +3,11 @@
 Every earlier benchmark measures *simulated* time: message counts,
 bytes, modeled makespans.  This one measures what the compiled replay
 fast path actually buys on the host: wall-clock seconds per
-``Program.run`` once the schedules and step plans are warm, with
-``compiled=True`` (frozen per-rank StepPlans -- prebound numpy calls,
-no per-sweep cache probe or AST walk) against ``compiled=False`` (the
-interpreted reference executor).  Both executors produce bit-identical
+``Program.run`` once the schedules and step plans are warm (frozen
+per-rank StepPlans -- prebound numpy calls, no per-sweep cache probe or
+AST walk) against the same sweeps through ``interpret_doall`` (the
+interpreted reference executor, called from a parsub routine).  Both
+executors produce bit-identical
 results and traces -- the benchmark verifies that on every scenario --
 so the ratio is pure interpreter overhead stripped from the hot loop.
 
@@ -50,6 +51,7 @@ except ModuleNotFoundError:  # invoked as a script: python benchmarks/bench_...
 
 import repro
 from repro import Machine, ProcessorGrid, Session
+from repro.compiler.schedule import interpret_doall
 from repro.lang import Assign, DistArray, Doall, Owner, loopvars
 from repro.tensor.adi import _build_residual_loop, _build_update_loop, default_tau
 from repro.tensor.jacobi import build_jacobi_loop
@@ -67,6 +69,19 @@ def _trace_sig(trace):
         [(m.proc, m.label, m.payload) for m in trace.marks],
         [(c.proc, c.start, c.end, c.label) for c in trace.computes],
     )
+
+
+def _run(prog, iters, compiled):
+    """``prog.run(iters=)``, or the same sweeps through the interpreted
+    reference executor."""
+    if compiled:
+        return prog.run(iters=iters)
+
+    def routine(ctx):
+        for _ in range(iters):
+            for loop in prog.loops:
+                yield from interpret_doall(ctx, loop)
+    return prog.session.run(routine, grid=prog.grid)
 
 
 def _time_runs(run_once, reps):
@@ -124,15 +139,15 @@ def scenario_jacobi(n, p, iters):
         X = DistArray((n + 1, n + 1), grid, dist=("block", "block"), name="X")
         F = DistArray((n + 1, n + 1), grid, dist=("block", "block"), name="F")
         F.from_global(f)
-        sess = Session(Machine(n_procs=p * p), compiled=compiled)
+        sess = Session(Machine(n_procs=p * p))
         prog = repro.compile(build_jacobi_loop(X, F, n, grid), session=sess)
 
         def run_once():
-            prog.run(iters=iters)
+            _run(prog, iters, compiled)
 
         def result():
             X.from_global(np.zeros_like(f))
-            trace = prog.run(iters=iters)
+            trace = _run(prog, iters, compiled)
             return (X.to_global(),), trace
 
         return run_once, result
@@ -155,7 +170,7 @@ def scenario_adi(n, p, iters):
         v = DistArray(f.shape, grid, dist=dist, name="v")
         F.from_global(f)
         v.from_global(0.1 * f)
-        sess = Session(Machine(n_procs=p * p), compiled=compiled)
+        sess = Session(Machine(n_procs=p * p))
         loops = [
             _build_residual_loop(r, u, F, n, h2, h2, coeffs, grid),
             _build_update_loop(u, v, n, tau, grid),
@@ -163,11 +178,11 @@ def scenario_adi(n, p, iters):
         prog = repro.compile(loops, session=sess)
 
         def run_once():
-            prog.run(iters=iters)
+            _run(prog, iters, compiled)
 
         def result():
             u.from_global(np.zeros_like(f))
-            trace = prog.run(iters=iters)
+            trace = _run(prog, iters, compiled)
             return (u.to_global(), r.to_global()), trace
 
         return run_once, result
@@ -188,14 +203,14 @@ def scenario_multigrid(n, p, iters):
         fine = mg.levels[0]
         loops = [lp for lp in (fine["zebra"]["even"], fine["zebra"]["odd"],
                                fine["resid"]) if lp is not None]
-        sess = Session(Machine(n_procs=p), compiled=compiled)
+        sess = Session(Machine(n_procs=p))
         prog = repro.compile(loops, session=sess)
 
         def run_once():
-            prog.run(iters=iters)
+            _run(prog, iters, compiled)
 
         def result():
-            trace = prog.run(iters=iters)
+            trace = _run(prog, iters, compiled)
             return (fine["tmp"].to_global(), fine["r"].to_global()), trace
 
         return run_once, result
@@ -219,7 +234,7 @@ def scenario_redistribute(n, p, flips, sweeps):
             body=[Assign(v[i, j], 0.5 * (u[i, j - 1] + u[i, j + 1]))],
             grid=grid,
         )
-        sess = Session(Machine(n_procs=p), grid, compiled=compiled)
+        sess = Session(Machine(n_procs=p), grid)
 
         def program(ctx):
             for flip in range(flips):
@@ -227,7 +242,10 @@ def scenario_redistribute(n, p, flips, sweeps):
                 yield from ctx.redistribute(u, spec)
                 yield from ctx.redistribute(v, spec)
                 for _ in range(sweeps):
-                    yield from ctx.doall(loop)
+                    if compiled:
+                        yield from ctx.doall(loop)
+                    else:
+                        yield from interpret_doall(ctx, loop)
 
         def run_once():
             sess.run(program)

@@ -49,6 +49,7 @@ from repro.compiler.schedule import (
     clear_plan_cache,
     drop_plan,
     execute_doall,
+    interpret_doall,
     plans_of,
 )
 from repro.compiler.estimate import estimate_doall, LoopEstimate
@@ -74,6 +75,7 @@ from repro.compiler.commsched import (
 
 __all__ = [
     "execute_doall",
+    "interpret_doall",
     "PlanCache",
     "DEFAULT_PLANS",
     "plans_of",

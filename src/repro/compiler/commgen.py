@@ -387,15 +387,14 @@ class StepPlan:
     * the Compute labels and flop charges.
 
     The plan deliberately captures *arrays*, never their local blocks:
-    store targets are resolved through ``array.local(rank)`` on each
-    sweep, so a block swapped by redistribution can never be written
-    through a stale captured buffer -- and the plan itself lives on the
+    the executor in :mod:`repro.compiler.schedule` resolves source and
+    store blocks through its caller's block lookup on each sweep, so a
+    block swapped by redistribution can never be written through a
+    stale captured buffer -- and the plan itself lives on the
     :class:`LoopAnalysis`, whose cache key embeds every array's comm
-    epoch and which ``drop_plans_for_array`` purges eagerly.
-
-    The executor in :mod:`repro.compiler.schedule` drives the plan; the
+    epoch and which ``drop_plans_for_array`` purges eagerly.  The
     replayed op stream (messages, marks, computes) is bit-identical to
-    the interpreted path's, which the equivalence tests assert.
+    the interpreted reference's, which the equivalence tests assert.
 
     **Batched plans.**  Built with ``nbatch=B``, the plan is the recipe
     for executing the loop over ``B`` independent parameter bindings at
@@ -406,14 +405,18 @@ class StepPlan:
     numpy ufunc chains).  The *schedules* are shared untouched with the
     single-run plan -- same sends, same receives, same tags -- so the
     wire message **count** is identical to one single-binding sweep;
-    only the payload slots widen by the batch factor.  Batched store
-    recipes address the batched shadow blocks the batch driver owns
+    only the payload slots widen by the batch factor.  One executor
+    drives both kinds; they differ only through the plan's data
+    (:attr:`lead`, :attr:`flat_shape`) and the caller's block lookup,
+    which for a batch addresses the batched shadow blocks
     (``blocks[array.uid]``), never the live single-member arrays.
     """
 
     __slots__ = (
         "rank",
         "nbatch",
+        "lead",
+        "flat_shape",
         "analysis",
         "shape",
         "n_points",
@@ -448,6 +451,12 @@ class StepPlan:
         # neither, keeping their recipes byte-identical to before
         lead_shape = () if nbatch is None else (nbatch,)
         lead_sel = () if nbatch is None else (slice(None),)
+        #: selection prefix the executor puts before every frozen
+        #: schedule selection: ``()`` single, ``(slice(None),)`` batched
+        self.lead = lead_sel
+        #: shape of one statement's flat value vector (``(B, -1)``
+        #: batched: the same scatter columns on every member)
+        self.flat_shape = lead_shape + (-1,)
 
         # ---- read side: persistent workspaces + send/recv recipes ------
         #: (wire kind, array, gather schedule | None, workspace | None)
@@ -510,8 +519,8 @@ class StepPlan:
                     locs, perm, boxshape = wplan.local_box
                     box = freeze_positions(locs)
                     if nbatch is not None:
-                        # pre-prefix the recipe so the batch driver's
-                        # store is the same one-liner as the single one:
+                        # pre-prefix the recipe so the batched store is
+                        # the same one-liner as the single one:
                         # transpose order shifts past the batch axis
                         perm = (0,) + tuple(ax + 1 for ax in perm)
                         boxshape = (nbatch,) + boxshape

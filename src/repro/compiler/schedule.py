@@ -32,17 +32,17 @@ schedules and the write-side scatter schedules both replay from the
 cached analysis through the shared transfer executor without
 re-deriving any index list.
 
-Two executors drive the phases.  The default compiled path
-(``compiled=True``) replays the rank's frozen
-:class:`~repro.compiler.commgen.StepPlan`: statement right-hand sides
+One executor drives the phases: it replays the rank's frozen
+:class:`~repro.compiler.commgen.StepPlan` -- statement right-hand sides
 lowered once into closures over pre-bound numpy ufuncs, array
 references pre-resolved to workspace positions (slice views for box
-patterns), store coordinates frozen, workspaces persistent -- the
+patterns), store coordinates frozen, workspaces persistent -- so the
 steady-state sweep never walks an expression AST or evaluates an
-affine index.  The interpreted path (``compiled=False``) re-derives
-all of that per sweep and is kept as the reference semantics; both
-produce bit-identical results, traces, and cache accounting (see
-docs/performance.md).
+affine index.  Single runs (:func:`replay_analysis`) and batched
+ensembles (:func:`replay_batch_analysis`) share it and differ only in
+data.  :func:`interpret_doall` re-derives all of that per sweep and is
+kept as the reference semantics; both produce bit-identical results,
+traces, and cache accounting (see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ class PlanCache:
     def count_replay(self, kind: str) -> None:
         """Record an as-if hit for a plan the caller already holds.
 
-        The compiled replay driver (``Program.run``) resolves each
-        loop's analysis once per run and replays it every sweep; the
+        The run driver (:func:`resolve_sweeps`) resolves each loop's
+        analysis once per run and replays it every sweep; the
         interpreted path probes the cache per sweep instead.  Counting
         the replays here keeps the hit/miss accounting identical between
         the two executors without paying for the structural key walk.
@@ -238,6 +238,18 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
             self.by_kind = {}
+
+    def transfer_count(self) -> int:
+        """Per-rank transfer schedules frozen inside the cached doall
+        analyses (their gather and scatter schedules)."""
+        with self._lock:
+            return sum(
+                plan.transfer is not None
+                for (kind, _), (analysis, _) in self._entries.items()
+                if kind == "doall"
+                for plans in analysis.read_plans + analysis.write_plans
+                for plan in plans.values()
+            )
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -289,6 +301,244 @@ def get_analysis(loop: Doall) -> tuple[LoopAnalysis, bool]:
     return DEFAULT_PLANS.analysis(loop)
 
 
+def execute_doall(ctx, loop: Doall, overlap: bool = False):
+    """Yield the machine ops realizing this rank's share of ``loop``.
+
+    With ``overlap=True`` the interior iteration points (reads all
+    locally owned) are charged before the ghost receives, modeling
+    computation proceeding while remote values are in flight; the wire
+    content is unchanged.
+
+    Probes the plan cache for the loop's analysis, then replays the
+    rank's frozen :class:`~repro.compiler.commgen.StepPlan` --
+    prebound numpy calls, no per-sweep expression interpretation.
+    :func:`interpret_doall` is the interpreted reference with
+    bit-identical results, traces, and cache accounting.
+    """
+    me = ctx.rank
+    if not loop.grid.contains(me):
+        raise CompileError(f"rank {me} executing doall outside its grid")
+    analysis, reused = plans_of(ctx).analysis(loop)
+    yield from replay_analysis(ctx, analysis, overlap=overlap, reused=reused)
+
+
+def resolve_sweeps(plans: PlanCache, loops, iters: int):
+    """Yield ``(analysis, reused)`` for every loop execution of a run.
+
+    The resolve-once steady-state driver behind every frozen loop
+    program run (``Program.run``, ``Program.run_batch``, the
+    multiprocessing backend and its shadow trace): ``iters`` sweeps of
+    ``loops`` in order, each loop's analysis probed in ``plans`` at its
+    first execution only.  Later sweeps replay the pinned analysis --
+    skipping the structural-key walk -- and count as-if hits, so the
+    accounting equals one probe per execution, as with
+    :func:`execute_doall`.  Loop programs contain no redistribution, so
+    a pinned analysis cannot go stale within a run; between runs the
+    probe picks up any layout change.
+    """
+    resolved: list = [None] * len(loops)
+    for _ in range(iters):
+        for n, loop in enumerate(loops):
+            if resolved[n] is None:
+                resolved[n], reused = plans.analysis(loop)
+            else:
+                reused = True
+                plans.count_replay("doall")
+            yield resolved[n], reused
+
+
+def replay_analysis(
+    ctx, analysis: LoopAnalysis, overlap: bool = False, reused: bool = True,
+):
+    """Drive one rank's share of an already-resolved doall analysis.
+
+    The replay half of :func:`execute_doall`, split out so a caller
+    holding the analysis (:func:`resolve_sweeps` resolves each loop's
+    plan once per run) can skip the per-sweep cache probe -- the
+    structural key walk -- entirely.  ``reused`` feeds the
+    ``commsched/hit`` vs ``commsched/build`` mark, mirroring what a
+    probe would have reported.
+    """
+    me = ctx.rank
+    yield from _replay(
+        ctx, analysis.step_plan(me), overlap, reused, lambda array: array.local(me)
+    )
+
+
+def replay_batch_analysis(
+    ctx, analysis: LoopAnalysis, blocks: dict, nbatch: int,
+    overlap: bool = False, reused: bool = True,
+):
+    """Drive one rank's share of a doall over ``nbatch`` bindings at once.
+
+    The batched twin of :func:`replay_analysis` behind
+    ``Program.run_batch``: the same frozen schedules replay once per
+    sweep, but every fetch, closure, and store carries a leading batch
+    axis, so one pass advances all ensemble members together.  ``blocks``
+    maps ``array.uid`` to this rank's batched local block -- shape
+    ``(nbatch,) + local shape`` -- which the driver reads ghosts from
+    and stores results into (the live arrays are never touched; the
+    caller owns the batched copies and the write-back).
+
+    Wire discipline: message *counts* and tags are identical to one
+    single-binding sweep -- each payload slot just widens by the batch
+    factor.  Compute charges scale by ``nbatch`` (the ensemble honestly
+    does that many members' flops).
+    """
+    yield from _replay(
+        ctx, analysis.step_plan(ctx.rank, nbatch=nbatch), overlap, reused,
+        lambda array: blocks[array.uid],
+    )
+
+
+def announce_replay(ctx, analysis: LoopAnalysis, reused: bool):
+    """Announce one doall replay (or compile) to the trace.
+
+    Yields the ``commsched/hit`` / ``commsched/build`` Marks -- or, in
+    cheap-marks mode, aggregates counters on the context and yields
+    nothing (the Session folds the counts into ``Trace.mark_counts``
+    after the run).  Shared by the live executors *and* the
+    multiprocessing backend's shadow replay, so the two op streams can
+    never drift on mark content.
+    """
+    kind = "commsched/hit" if reused else "commsched/build"
+    if getattr(ctx, "marks", "full") == "cheap":
+        note = ctx.count_mark
+        note(kind, "doall")
+        if analysis.has_read_transfers:
+            note(kind, "gather")
+        if analysis.has_remote_writes:
+            note(kind, "scatter")
+        return
+    yield Mark(kind, payload=("doall", analysis.var_label))
+    if analysis.has_read_transfers:
+        # the loop's gather schedules replay (or compile) together
+        # with the plan; announce them under their own direction so
+        # per-direction reuse reporting sees the read side
+        yield Mark(kind, payload=("gather", analysis.read_names))
+    if analysis.has_remote_writes:
+        # likewise for the write-side scatter schedules
+        yield Mark(kind, payload=("scatter", analysis.scatter_names))
+
+
+def _replay(ctx, plan, overlap: bool, reused: bool, block_of):
+    """Announce and replay a frozen :class:`~repro.compiler.commgen.StepPlan`.
+
+    The compiled hot loop: every index array, closure, label, and flop
+    charge was frozen at plan-build time; each sweep is sends, local
+    moves, receives, prebound rhs closures, and prebound stores.  The
+    yielded op stream is bit-identical to :func:`interpret_doall`.
+
+    Single and batched plans replay here alike and differ only in
+    data: the plan's selection prefix (``plan.lead``) goes before every
+    frozen schedule selection, ``plan.flat_shape`` shapes a statement's
+    value vector, and ``block_of(array)`` -- the caller's block lookup,
+    this rank's live block or a batch's shadow block -- is resolved on
+    every sweep, never captured.
+    """
+    tag = ctx.next_tag(plan.analysis.loop.grid)
+    yield from announce_replay(ctx, plan.analysis, reused)
+    lead = plan.lead
+    readers: list[tuple] = []
+    for wire_kind, array, sched, buf in plan.reads:
+        if sched is None:
+            continue
+        if sched.sends or sched.self_src is not None:
+            read = _reader(block_of(array), lead)
+        else:
+            read = None
+        yield from transfer_sends(ctx, sched, read, tag=tag, kind=wire_kind)
+        if buf is not None:
+            transfer_local_move(sched, read, _writer(buf, lead))
+        if sched.recvs:
+            readers.append((sched, buf, wire_kind))
+
+    interior, interior_flops, remaining, remaining_flops = plan.charges(overlap)
+    if interior:
+        yield Compute(flops=interior_flops, label=plan.label_interior)
+
+    for sched, buf, wire_kind in readers:
+        yield from transfer_recvs(
+            ctx, sched, _writer(buf, lead), tag=tag, kind=wire_kind
+        )
+
+    if remaining:
+        yield Compute(
+            flops=remaining_flops,
+            label=plan.label_boundary if interior else plan.label,
+        )
+
+    stmt_vals = [None if fn is None else fn() for fn in plan.evals]
+
+    for values, store in zip(stmt_vals, plan.stores):
+        if store is None:
+            continue
+        op = store[0]
+        if op == "box":
+            _, array, locs, perm, boxshape = store
+            block_of(array)[locs] = values.transpose(perm).reshape(boxshape)
+        elif op == "flat":
+            _, array, locs = store
+            block_of(array)[locs] = values.reshape(plan.flat_shape)
+        else:  # "transfer": remote-write scatter replay
+            _, array, sched, wire_kind = store
+            yield from execute_transfer(
+                ctx,
+                sched,
+                read=_reader(
+                    None if values is None else values.reshape(plan.flat_shape),
+                    lead,
+                ),
+                write=_writer(lambda array=array: block_of(array), lead),
+                tag=tag,
+                kind=wire_kind,
+            )
+
+
+def _lead(lead: tuple, idx) -> tuple:
+    """``idx`` behind the selection prefix ``lead``.
+
+    Schedules freeze two selection forms: open-mesh tuples (gather
+    send/recv sides, local boxes) and flat coordinate arrays (scatter
+    selections).  Either way the batched form is the same selection on
+    every ensemble member at once.
+    """
+    return lead + (idx if isinstance(idx, tuple) else (idx,))
+
+
+def _reader(source, lead: tuple):
+    """The transfer executor's ``read(idx)``: the frozen selection
+    ``idx`` on ``source`` behind the plan's prefix ``lead`` (``()``
+    single, ``(slice(None),)`` batched).  None without a source."""
+    if source is None:
+        return None
+    if not lead:
+        return source.__getitem__
+    return lambda idx: source[_lead(lead, idx)]
+
+
+def _writer(target, lead: tuple):
+    """The store twin of :func:`_reader`: ``write(idx, values)``.
+
+    ``target`` is an array, or a zero-argument callable looked up at
+    each write -- scatter targets, since a rank that only *sends* for a
+    scatter owns no block of the lhs and never writes.
+    """
+    if callable(target):
+        return lambda idx, values: _writer(target(), lead)(idx, values)
+    if not lead:
+        return target.__setitem__
+
+    def write(idx, values):
+        target[_lead(lead, idx)] = values
+    return write
+
+
+# ----------------------------------------------------------------------
+# The interpreted reference executor
+# ----------------------------------------------------------------------
+
+
 class _Workspace:
     """Gathered read data for one array on one rank."""
 
@@ -329,245 +579,25 @@ def _eval_expr(expr, workspaces: dict[int, _Workspace], iters) -> np.ndarray | f
     raise CompileError(f"cannot evaluate expression {expr!r}")
 
 
-def execute_doall(ctx, loop: Doall, overlap: bool = False, compiled: bool | None = None):
-    """Yield the machine ops realizing this rank's share of ``loop``.
+def interpret_doall(ctx, loop: Doall, overlap: bool = False):
+    """The interpreted reference executor for this rank's share of ``loop``.
 
-    With ``overlap=True`` the interior iteration points (reads all
-    locally owned) are charged before the ghost receives, modeling
-    computation proceeding while remote values are in flight; the wire
-    content is unchanged.
-
-    ``compiled`` selects the executor: True (the default, inherited from
-    the context / its Session) replays the rank's frozen
-    :class:`~repro.compiler.commgen.StepPlan` -- prebound numpy calls,
-    no per-sweep expression interpretation; False runs the interpreted
-    reference path.  Both produce bit-identical results, traces, and
-    cache accounting.
+    Probes the plan cache on every call, like :func:`execute_doall`,
+    then re-derives workspace positions and walks the expression ASTs
+    every sweep -- everything a :class:`~repro.compiler.commgen.StepPlan`
+    freezes.  Kept as the semantics the compiled replay must match
+    bit-for-bit: the equivalence tests and
+    ``benchmarks/bench_wallclock.py`` call it from a parsub routine and
+    diff results, op streams, and hit/miss counts against the compiled
+    path.
     """
     me = ctx.rank
     if not loop.grid.contains(me):
         raise CompileError(f"rank {me} executing doall outside its grid")
     analysis, reused = plans_of(ctx).analysis(loop)
-    yield from replay_analysis(
-        ctx, analysis, overlap=overlap, compiled=compiled, reused=reused
-    )
-
-
-def replay_analysis(
-    ctx, analysis: LoopAnalysis, overlap: bool = False,
-    compiled: bool | None = None, reused: bool = True,
-):
-    """Drive one rank's share of an already-resolved doall analysis.
-
-    The replay half of :func:`execute_doall`, split out so a caller
-    holding the analysis (``Program.run``'s steady-state loop resolves
-    each loop's plan once per run) can skip the per-sweep cache probe --
-    the structural key walk -- entirely.  ``reused`` feeds the
-    ``commsched/hit`` vs ``commsched/build`` mark, mirroring what a
-    probe would have reported.
-    """
-    me = ctx.rank
-    if compiled is None:
-        compiled = getattr(ctx, "compiled", True)
     tag = ctx.next_tag(analysis.loop.grid)
     yield from announce_replay(ctx, analysis, reused)
-    if compiled:
-        yield from _replay_step_plan(ctx, analysis.step_plan(me), overlap, tag)
-    else:
-        yield from _interpret_doall(ctx, analysis, overlap, tag)
 
-
-def replay_batch_analysis(
-    ctx, analysis: LoopAnalysis, blocks: dict, nbatch: int,
-    overlap: bool = False, reused: bool = True,
-):
-    """Drive one rank's share of a doall over ``nbatch`` bindings at once.
-
-    The batched twin of :func:`replay_analysis` behind
-    ``Program.run_batch``: the same frozen schedules replay once per
-    sweep, but every fetch, closure, and store carries a leading batch
-    axis, so one pass advances all ensemble members together.  ``blocks``
-    maps ``array.uid`` to this rank's batched local block -- shape
-    ``(nbatch,) + local shape`` -- which the driver reads ghosts from
-    and stores results into (the live arrays are never touched; the
-    caller owns the batched copies and the write-back).
-
-    Wire discipline: message *counts* and tags are identical to one
-    single-binding sweep -- each payload slot just widens by the batch
-    factor.  Compute charges scale by ``nbatch`` (the ensemble honestly
-    does that many members' flops).
-    """
-    me = ctx.rank
-    tag = ctx.next_tag(analysis.loop.grid)
-    yield from announce_replay(ctx, analysis, reused)
-    yield from _replay_batch_plan(
-        ctx, analysis.step_plan(me, nbatch=nbatch), tag, blocks, overlap
-    )
-
-
-def _replay_batch_plan(ctx, plan, tag, blocks: dict, overlap: bool):
-    """Replay a batched :class:`~repro.compiler.commgen.StepPlan`.
-
-    Mirrors :func:`_replay_step_plan` exactly, with two substitutions:
-    reads and stores go through the caller's batched shadow blocks
-    instead of ``array.local(rank)``, and the transfer ``read``/``write``
-    callables prefix every frozen selection with ``slice(None)`` on the
-    batch axis (the plan's own recipes are pre-prefixed at build time).
-    """
-    readers: list[tuple] = []
-    for wire_kind, array, sched, buf in plan.reads:
-        if sched is None:
-            continue
-        if sched.sends or sched.self_src is not None:
-            read = _batch_get(blocks[array.uid])
-        else:
-            read = None
-        yield from transfer_sends(ctx, sched, read, tag=tag, kind=wire_kind)
-        if buf is not None:
-            transfer_local_move(sched, read, _batch_put(buf))
-        if sched.recvs:
-            readers.append((sched, buf, wire_kind))
-
-    interior, interior_flops, remaining, remaining_flops = plan.charges(overlap)
-    if interior:
-        yield Compute(flops=interior_flops, label=plan.label_interior)
-
-    for sched, buf, wire_kind in readers:
-        yield from transfer_recvs(
-            ctx, sched, _batch_put(buf), tag=tag, kind=wire_kind
-        )
-
-    if remaining:
-        yield Compute(
-            flops=remaining_flops,
-            label=plan.label_boundary if interior else plan.label,
-        )
-
-    stmt_vals = [None if fn is None else fn() for fn in plan.evals]
-
-    nb = plan.nbatch
-    for values, store in zip(stmt_vals, plan.stores):
-        if store is None:
-            continue
-        op = store[0]
-        if op == "box":
-            _, array, locs, perm, boxshape = store
-            blocks[array.uid][locs] = values.transpose(perm).reshape(boxshape)
-        elif op == "flat":
-            _, array, locs = store
-            blocks[array.uid][locs] = values.reshape(nb, -1)
-        else:  # "transfer": remote-write scatter replay
-            _, array, sched, wire_kind = store
-            yield from execute_transfer(
-                ctx,
-                sched,
-                read=_batch_reader(
-                    None if values is None else values.reshape(nb, -1)
-                ),
-                write=_batch_writer(blocks, array.uid),
-                tag=tag,
-                kind=wire_kind,
-            )
-
-
-def announce_replay(ctx, analysis: LoopAnalysis, reused: bool):
-    """Announce one doall replay (or compile) to the trace.
-
-    Yields the ``commsched/hit`` / ``commsched/build`` Marks -- or, in
-    cheap-marks mode, aggregates counters on the context and yields
-    nothing (the Session folds the counts into ``Trace.mark_counts``
-    after the run).  Shared by the live executors *and* the
-    multiprocessing backend's shadow replay, so the two op streams can
-    never drift on mark content.
-    """
-    kind = "commsched/hit" if reused else "commsched/build"
-    if getattr(ctx, "marks", "full") == "cheap":
-        note = ctx.count_mark
-        note(kind, "doall")
-        if analysis.has_read_transfers:
-            note(kind, "gather")
-        if analysis.has_remote_writes:
-            note(kind, "scatter")
-        return
-    yield Mark(kind, payload=("doall", analysis.var_label))
-    if analysis.has_read_transfers:
-        # the loop's gather schedules replay (or compile) together
-        # with the plan; announce them under their own direction so
-        # per-direction reuse reporting sees the read side
-        yield Mark(kind, payload=("gather", analysis.read_names))
-    if analysis.has_remote_writes:
-        # likewise for the write-side scatter schedules
-        yield Mark(kind, payload=("scatter", analysis.scatter_names))
-
-
-def _replay_step_plan(ctx, plan, overlap: bool, tag):
-    """Replay a frozen :class:`~repro.compiler.commgen.StepPlan`.
-
-    The compiled hot loop: every index array, closure, label, and flop
-    charge was frozen at plan-build time; each sweep is sends, local
-    moves, receives, prebound rhs closures, and prebound stores.  The
-    yielded op stream is bit-identical to :func:`_interpret_doall`.
-    """
-    me = ctx.rank
-    readers: list[tuple] = []
-    for wire_kind, array, sched, buf in plan.reads:
-        if sched is None:
-            continue
-        if sched.sends or sched.self_src is not None:
-            read = array.local(me).__getitem__
-        else:
-            read = None
-        yield from transfer_sends(ctx, sched, read, tag=tag, kind=wire_kind)
-        if buf is not None:
-            transfer_local_move(sched, read, buf.__setitem__)
-        if sched.recvs:
-            readers.append((sched, buf, wire_kind))
-
-    interior, interior_flops, remaining, remaining_flops = plan.charges(overlap)
-    if interior:
-        yield Compute(flops=interior_flops, label=plan.label_interior)
-
-    for sched, buf, wire_kind in readers:
-        yield from transfer_recvs(ctx, sched, buf.__setitem__, tag=tag, kind=wire_kind)
-
-    if remaining:
-        yield Compute(
-            flops=remaining_flops,
-            label=plan.label_boundary if interior else plan.label,
-        )
-
-    stmt_vals = [None if fn is None else fn() for fn in plan.evals]
-
-    for values, store in zip(stmt_vals, plan.stores):
-        if store is None:
-            continue
-        op = store[0]
-        if op == "box":
-            _, array, locs, perm, boxshape = store
-            array.local(me)[locs] = values.transpose(perm).reshape(boxshape)
-        elif op == "flat":
-            _, array, locs = store
-            array.local(me)[locs] = values.reshape(-1)
-        else:  # "transfer": remote-write scatter replay
-            _, array, sched, wire_kind = store
-            yield from execute_transfer(
-                ctx,
-                sched,
-                read=_reader(None if values is None else values.reshape(-1)),
-                write=_writer(array, me),
-                tag=tag,
-                kind=wire_kind,
-            )
-
-
-def _interpret_doall(ctx, analysis: LoopAnalysis, overlap: bool, tag):
-    """The interpreted reference executor (``compiled=False``).
-
-    Re-derives workspace positions and walks the expression ASTs every
-    sweep; kept as the semantics the compiled fast path must match
-    bit-for-bit (the equivalence tests diff the two op streams).
-    """
-    me = ctx.rank
     iters = analysis.iters[me]
     label = f"doall[{analysis.var_label}]"
 
@@ -660,8 +690,8 @@ def _interpret_doall(ctx, analysis: LoopAnalysis, overlap: bool, tag):
         yield from execute_transfer(
             ctx,
             sched,
-            read=_reader(None if values is None else values.reshape(-1)),
-            write=_writer(sa.lhs_array, me),
+            read=_reader(None if values is None else values.reshape(-1), ()),
+            write=_writer(lambda array=sa.lhs_array: array.local(me), ()),
             tag=tag,
             kind=f"wr{stmt_idx}",
         )
@@ -708,7 +738,7 @@ def shadow_replay_analysis(
 
 
 def _shadow_step_plan(ctx, plan, overlap: bool, tag):
-    """Data-free mirror of :func:`_replay_step_plan` -- ops only."""
+    """Data-free mirror of :func:`_replay` -- ops only."""
     me = ctx.rank
     readers: list[tuple] = []
     for wire_kind, array, sched, _buf in plan.reads:
@@ -766,71 +796,3 @@ def _index_nbytes(idx, itemsize: int) -> int:
     else:
         n = int(np.asarray(idx).size)
     return n * int(itemsize)
-
-
-def _reader(flat: np.ndarray | None):
-    """Selection reads from one statement's flat value vector."""
-    def read(sel):
-        assert flat is not None, "schedule sends values on an empty rank"
-        return flat[sel]
-    return read
-
-
-def _writer(array, rank: int):
-    """Stores through frozen local-block coordinates."""
-    def write(locs, values):
-        array.local(rank)[locs] = values
-    return write
-
-
-def _lead(idx) -> tuple:
-    """Prefix a frozen schedule selection with the batch axis.
-
-    Schedules freeze two selection forms: open-mesh tuples (gather
-    send/recv sides, local boxes) and flat coordinate arrays (scatter
-    selections).  Either way the batched form is the same selection on
-    every ensemble member at once.
-    """
-    if not isinstance(idx, tuple):
-        idx = (idx,)
-    return (slice(None),) + idx
-
-
-def _batch_get(block: np.ndarray):
-    """Batched source reads: the frozen selection, on every member."""
-    def read(idx):
-        return block[_lead(idx)]
-    return read
-
-
-def _batch_put(buf: np.ndarray):
-    """Batched workspace stores (local moves and ghost receives)."""
-    def write(idx, values):
-        buf[_lead(idx)] = values
-    return write
-
-
-def _batch_reader(flat: np.ndarray | None):
-    """Selection reads from one statement's batched value matrix.
-
-    ``flat`` is the ``(nbatch, points)`` reshape of the statement's
-    value box; a scatter selection picks the same columns for every
-    member.  The fancy read owns its data, so
-    :func:`~repro.compiler.commsched.freeze_payload` ships it copy-free.
-    """
-    def read(sel):
-        assert flat is not None, "schedule sends values on an empty rank"
-        return flat[:, sel]
-    return read
-
-
-def _batch_writer(blocks: dict, uid):
-    """Stores through frozen local-block coordinates, batched.
-
-    Looks the block up lazily: a rank can be a pure *sender* for a
-    scatter (it owns none of the lhs), in which case its write side
-    never runs and no batched block need exist.
-    """
-    def write(locs, values):
-        blocks[uid][_lead(locs)] = values
-    return write

@@ -73,7 +73,6 @@ class KaliCtx:
         grid: ProcessorGrid,
         run_id: int | None = None,
         session=None,
-        compiled: bool | None = None,
         marks: str | None = None,
     ):
         if not grid.contains(rank):
@@ -82,13 +81,6 @@ class KaliCtx:
         self.grid = grid
         self.run_id = run_id
         self.session = session
-        #: executor mode for doall loops: True replays compiled
-        #: StepPlans, False runs the interpreted reference path.
-        #: Defaults to the Session's setting (True without one).
-        self.compiled = (
-            compiled if compiled is not None
-            else getattr(session, "compiled", True)
-        )
         #: "full" records every schedule Mark; "cheap" aggregates them
         #: into :attr:`mark_counts` (no per-op mark objects on the hot
         #: path; the Session folds the counts into the trace).
@@ -159,7 +151,7 @@ class KaliCtx:
 
     # -- compiled loops ---------------------------------------------------
 
-    def doall(self, loop, overlap: bool = False, compiled: bool | None = None):
+    def doall(self, loop, overlap: bool = False):
         """Execute a doall loop; yields machine ops (use ``yield from``).
 
         With ``overlap=True`` the executor charges the loop's interior
@@ -169,11 +161,10 @@ class KaliCtx:
         byte-identical to the serialized mode.  See
         :func:`repro.compiler.schedule.execute_doall`.
 
-        ``compiled`` overrides this context's executor mode for one
-        call: True replays the loop's frozen
-        :class:`~repro.compiler.commgen.StepPlan` (the default), False
-        runs the interpreted reference executor -- same results, same
-        trace, the fast path just skips the per-sweep AST walk.
+        Each call replays the loop's frozen
+        :class:`~repro.compiler.commgen.StepPlan`;
+        :func:`repro.compiler.schedule.interpret_doall` is the
+        interpreted reference (same results, same trace).
 
         The loop's compiled plan (and its frozen TransferSchedules)
         lives in this context's Session plan cache; compile loops ahead
@@ -191,7 +182,7 @@ class KaliCtx:
                 ReproDeprecationWarning,
                 stacklevel=2,
             )
-        return execute_doall(self, loop, overlap=overlap, compiled=compiled)
+        return execute_doall(self, loop, overlap=overlap)
 
     # -- irregular gathers ------------------------------------------------
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import threading
 import time
 import traceback
 import weakref
@@ -206,42 +207,30 @@ class MultiprocessingBackend(Backend):
     ) -> Trace:
         """Replay a frozen loop program with real parallel workers.
 
-        Mirrors ``Program.run``'s compiled driver exactly: resolve each
-        loop's analysis once per rank per run (cache accounting
-        identical to the simulator path), execute ``iters`` sweeps on
-        the worker pool, and return the oracle trace.  The caller
+        Resolves each rank's run through the same driver as
+        ``Program.run`` on the simulator
+        (:func:`~repro.compiler.schedule.resolve_sweeps`: one probe per
+        loop per rank, as-if hits after, so cache accounting is
+        identical), executes ``iters`` sweeps on the worker pool, and
+        returns the oracle trace of exactly those replays.  The caller
         (``Program.run``) records the trace in the session history.
         """
-        ranks = list(grid.linear)
+        from repro.compiler.schedule import resolve_sweeps
+
         if grid.size > self.n_procs:
             raise ValidationError(
                 f"grid of {grid.size} procs exceeds machine size {self.n_procs}"
             )
-        plans = session.plans
-        analyses: list = []
-        reused_by_rank: list[dict[int, bool]] = []
-        for loop in loops:
-            per_rank: dict[int, bool] = {}
-            analysis = None
-            for rank in ranks:
-                analysis, reused = plans.analysis(loop)
-                per_rank[rank] = reused
-            analyses.append(analysis)
-            reused_by_rank.append(per_rank)
-        # later sweeps replay the resolved analyses without re-probing,
-        # and count as as-if hits -- the same accounting contract as the
-        # simulator path's compiled driver
-        for _ in range(iters - 1):
-            for _loop in loops:
-                for _rank in ranks:
-                    plans.count_replay("doall")
+        sweeps = {
+            rank: list(resolve_sweeps(session.plans, loops, iters))
+            for rank in grid.linear
+        }
+        analyses = [analysis for analysis, _ in sweeps[grid.linear[-1]][:len(loops)]]
 
         pool = self._ensure_pool(analyses, grid)
         pool.run_sweeps(iters)
 
-        return self._oracle_trace(
-            session, analyses, grid, iters, overlap, marks, reused_by_rank
-        )
+        return self._oracle_trace(session, analyses, grid, overlap, marks, sweeps)
 
     # -- worker pool management --------------------------------------------
 
@@ -277,24 +266,26 @@ class MultiprocessingBackend(Backend):
 
     # -- the trace oracle --------------------------------------------------
 
-    def _oracle_trace(
-        self, session, analyses, grid, iters, overlap, marks, reused_by_rank
-    ) -> Trace:
+    def _oracle_trace(self, session, analyses, grid, overlap, marks, sweeps) -> Trace:
+        """The simulator's trace of the per-rank replays in ``sweeps``
+        (rank -> ``(analysis, reused)`` per loop execution)."""
         marks_mode = marks if marks is not None else getattr(session, "marks", "full")
         key = (
             tuple(id(a) for a in analyses),
             grid.key(),
             id(self.machine),
-            iters,
             overlap,
             marks_mode,
-            tuple(tuple(sorted(d.items())) for d in reused_by_rank),
+            # run length plus each rank's first-sweep build/hit flags
+            # (every later replay is a hit)
+            tuple(
+                (len(seq), tuple(r for _, r in seq[:len(analyses)]))
+                for seq in sweeps.values()
+            ),
         )
         entry = self._oracle.get(key)
         if entry is None:
-            template = self._shadow_run(
-                session, analyses, grid, iters, overlap, marks_mode, reused_by_rank
-            )
+            template = self._shadow_run(session, grid, overlap, marks_mode, sweeps)
             self._oracle[key] = entry = (tuple(analyses), template)
             while len(self._oracle) > 32:
                 self._oracle.popitem(last=False)
@@ -314,36 +305,16 @@ class MultiprocessingBackend(Backend):
             mark_counts=dict(template.mark_counts),
         )
 
-    def _shadow_run(
-        self, session, analyses, grid, iters, overlap, marks_mode, reused_by_rank
-    ) -> Trace:
+    def _shadow_run(self, session, grid, overlap, marks_mode, sweeps) -> Trace:
         from repro.compiler.schedule import shadow_replay_analysis
-        from repro.lang.context import KaliCtx, next_run_id
-        from repro.session import Session
-
-        run_id = next_run_id()
-        ctxs = {
-            rank: KaliCtx(
-                rank, grid, run_id=run_id, session=session,
-                compiled=True, marks=marks_mode,
-            )
-            for rank in grid.linear
-        }
 
         def shadow(ctx):
-            first = True
-            for _ in range(iters):
-                for n, analysis in enumerate(analyses):
-                    reused = reused_by_rank[n][ctx.rank] if first else True
-                    yield from shadow_replay_analysis(
-                        ctx, analysis, overlap=overlap, reused=reused
-                    )
-                first = False
+            for analysis, reused in sweeps[ctx.rank]:
+                yield from shadow_replay_analysis(
+                    ctx, analysis, overlap=overlap, reused=reused
+                )
 
-        programs = {rank: shadow(ctxs[rank]) for rank in grid.linear}
-        trace = self.machine.run(programs)
-        Session._fold_mark_counts(trace, ctxs.values())
-        return trace
+        return session._execute(self.machine, grid, shadow, marks_mode)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -535,6 +506,10 @@ def _worker_main(rank: int, conn, barrier, steps: list[_LoopStep]) -> None:
                     _run_step(step, barrier)
                 sweeps_done += 1
             conn.send(("ok", rank))
+        except threading.BrokenBarrierError:
+            # a peer failed first and aborted the barrier: report, but
+            # as a survivor, not as a failed rank
+            conn.send(("broken", rank, traceback.format_exc()))
         except Exception:
             # break the other ranks out of their barriers, then report
             try:
@@ -669,13 +644,16 @@ class _WorkerPool:
         reach the dead one.  The first death detected aborts the
         barrier, which breaks the peers out (they report
         BrokenBarrierError tracebacks); every failure is then raised as
-        one MachineError with per-rank sections.
+        one MachineError with per-rank sections.  Its ``failed_ranks``
+        names only the ranks that died or raised on their own -- never
+        the survivors broken out of the barrier.
         """
         if self._closed:
             raise MachineError("worker pool is closed")
         for conn in self._pipes.values():
             conn.send(("run", iters))
         failures: list[tuple[int, str]] = []
+        survivors: list[tuple[int, str]] = []  # broken out of the barrier
         pending = dict(self._pipes)
         while pending:
             for rank in list(pending):
@@ -694,13 +672,15 @@ class _WorkerPool:
                     else:
                         if msg[0] == "err":
                             failures.append((rank, msg[2]))
+                        elif msg[0] == "broken":
+                            survivors.append((rank, msg[2]))
                     del pending[rank]
                 elif not self._procs[rank].is_alive():
                     failures.append((rank, "worker process died"))
                     # release peers stuck waiting for the dead rank
                     self._abort_barrier()
                     del pending[rank]
-        if failures:
+        if failures or survivors:
             self.close()
             failed_ranks = tuple(sorted(rank for rank, _ in failures))
             observer = _FAULT_OBSERVER
@@ -710,7 +690,8 @@ class _WorkerPool:
                 except Exception:  # pragma: no cover - defensive
                     pass
             detail = "\n".join(
-                f"-- rank {rank} --\n{tb}" for rank, tb in failures
+                f"-- rank {rank} --\n{tb}"
+                for rank, tb in sorted(failures + survivors)
             )
             err = MachineError(
                 "multiprocessing backend worker failure:\n" + detail

@@ -127,7 +127,6 @@ class Session:
         cost: CostModel | None = None,
         *,
         backend: "str | Backend | None" = None,
-        compiled: bool = True,
         marks: str = "full",
         max_schedule_entries: int = 256,
         max_plan_entries: int = 4096,
@@ -146,11 +145,6 @@ class Session:
         #: one MultiprocessingBackend around the resolved machine
         self.backend = backend
         self._mp_backend = None
-        #: default doall executor mode for launches from this Session:
-        #: True replays compiled StepPlans (the fast path), False runs
-        #: the interpreted reference executor.  Each run (and each
-        #: ``ctx.doall`` call) may override it.
-        self.compiled = compiled
         #: default mark mode: "full" records every schedule Mark,
         #: "cheap" aggregates steady-state schedule events into
         #: ``Trace.mark_counts`` (identical hit-rate reporting, no
@@ -194,8 +188,15 @@ class Session:
 
     # -- launching ---------------------------------------------------------
 
-    def _resolve(self, machine: Machine | None, grid: ProcessorGrid | None):
+    def _runner(self, machine, grid, backend) -> tuple:
+        """``(runner, grid)`` of a launch: the machine and grid (these
+        arguments, else the Session defaults), with the backend that
+        executes on that machine."""
         machine = machine if machine is not None else self.machine
+        if machine is None:
+            # a Backend instance can stand in for the machine it wraps
+            resolved = backend if backend is not None else self.backend
+            machine = getattr(resolved, "machine", None)
         grid = grid if grid is not None else self.grid
         if machine is None:
             raise ValidationError(
@@ -207,7 +208,7 @@ class Session:
             raise ValidationError(
                 f"grid of {grid.size} procs exceeds machine size {machine.n_procs}"
             )
-        return machine, grid
+        return self._resolve_backend(backend, machine), grid
 
     def _resolve_backend(self, backend, machine) -> Backend:
         """The Backend a launch executes on (the machine itself, by default).
@@ -242,7 +243,6 @@ class Session:
         machine: Machine | None = None,
         grid: ProcessorGrid | None = None,
         backend: "str | Backend | None" = None,
-        compiled: bool | None = None,
         marks: str | None = None,
         **kwargs: Any,
     ) -> Trace:
@@ -254,30 +254,33 @@ class Session:
         Session, so every collective inside consults this Session's
         caches.  The trace is appended to :attr:`history` and returned.
         ``machine``/``grid`` override the Session defaults, and
-        ``compiled``/``marks`` override its executor and mark modes for
+        ``backend``/``marks`` override its backend and mark mode for
         this launch; a routine parameter with any of these names must be
         bound via ``functools.partial`` (or the :func:`run_spmd` shim,
         which forwards kwargs verbatim).
         """
         return self._launch_routine(
             machine, grid, routine, args, kwargs,
-            compiled=compiled, marks=marks, backend=backend,
+            marks=marks, backend=backend,
         )
 
     def _launch_routine(
         self, machine, grid, routine, args, kwargs,
-        compiled: bool | None = None, marks: str | None = None,
-        backend=None,
+        marks: str | None = None, backend=None,
     ) -> Trace:
         """Launch core with no keyword capture: ``kwargs`` go to the
         routine untouched (the run_spmd shim relies on this to keep the
         legacy signature, where ``machine``/``grid`` were positional)."""
-        if machine is None and self.machine is None:
-            # a Backend instance can stand in for the machine it wraps
-            resolved = backend if backend is not None else self.backend
-            machine = getattr(resolved, "machine", None)
-        machine, grid = self._resolve(machine, grid)
-        runner = self._resolve_backend(backend, machine)
+        runner, grid = self._runner(machine, grid, backend)
+        trace = self._execute(
+            runner, grid, lambda ctx: routine(ctx, *args, **kwargs), marks
+        )
+        return self._record(trace)
+
+    def _execute(self, runner, grid, routine, marks: str | None) -> Trace:
+        """Run ``routine(ctx)`` on every rank of ``grid`` with ``runner``,
+        each rank's context bound to this Session; the trace (cheap-marks
+        counters folded in) is returned unrecorded."""
         # Launch identities are unique across sessions *and* processes
         # (keyed by pid + counter): a run id scopes cache decisions and
         # staging tokens, and two Sessions sharing one explicit
@@ -285,31 +288,18 @@ class Session:
         # must never reuse an id.  Ids never enter traces, so this does
         # not affect determinism.
         run_id = next_run_id()
-        ctxs = {
-            rank: KaliCtx(
-                rank, grid, run_id=run_id, session=self,
-                compiled=compiled, marks=marks,
-            )
+        ctxs = [
+            KaliCtx(rank, grid, run_id=run_id, session=self, marks=marks)
             for rank in grid.linear
-        }
-        programs = {
-            rank: routine(ctxs[rank], *args, **kwargs) for rank in grid.linear
-        }
-        trace = runner.run(programs)
-        self._fold_mark_counts(trace, ctxs.values())
-        return self._record(trace)
-
-    @staticmethod
-    def _fold_mark_counts(trace: Trace, ctxs) -> None:
-        """Aggregate cheap-marks counters from the ranks into the trace."""
+        ]
+        trace = runner.run({ctx.rank: routine(ctx) for ctx in ctxs})
         merged: dict[tuple, int] = trace.mark_counts
-        cheap = False
         for ctx in ctxs:
-            cheap = cheap or ctx.marks == "cheap"
             for key, n in ctx.mark_counts.items():
                 merged[key] = merged.get(key, 0) + n
-        if cheap:
+        if any(ctx.marks == "cheap" for ctx in ctxs):
             trace.level = "cheap"
+        return trace
 
     def launch(self, programs: dict, machine: Machine | None = None) -> Trace:
         """Run pre-built per-rank node programs (no contexts involved).
@@ -446,10 +436,15 @@ class Session:
         """Aggregate cache accounting: schedule and plan hit/miss counts,
         per-direction and per-kind breakdowns, the launch count, and --
         when a :class:`~repro.supervise.Supervisor` watches this Session
-        -- its :class:`~repro.supervise.RecoveryLog` summary."""
+        -- its :class:`~repro.supervise.RecoveryLog` summary.
+        ``schedules["entries"]`` counts every per-rank transfer schedule
+        the Session holds: the ScheduleCache's plus those frozen inside
+        cached doall analyses."""
+        schedules = self.cache.stats()
+        schedules["entries"] += self.plans.transfer_count()
         return {
             "runs": self.runs,
-            "schedules": self.cache.stats(),
+            "schedules": schedules,
             "directions": self.cache.direction_stats(),
             "plans": self.plans.kind_stats(),
             "recovery": None if self.recovery is None else self.recovery.summary(),
@@ -541,7 +536,6 @@ class Program:
         *args: Any,
         iters: int = 1,
         overlap: bool = False,
-        compiled: bool | None = None,
         marks: str | None = None,
         machine: Machine | None = None,
         backend: "str | Backend | None" = None,
@@ -560,16 +554,14 @@ class Program:
         Each run replays the schedules frozen at compile time --
         re-running never re-derives communication.
 
-        ``compiled`` (default True, from the Session) picks the
-        executor: the compiled fast path resolves each loop's cached
-        analysis once per run and replays its frozen per-rank
+        A loop program resolves each loop's cached analysis once per
+        run (:func:`~repro.compiler.schedule.resolve_sweeps`) and
+        replays its frozen per-rank
         :class:`~repro.compiler.commgen.StepPlan` every sweep -- no
-        per-sweep cache probe, no expression interpretation;
-        ``compiled=False`` runs the interpreted reference executor.
-        Results, traces, and cache accounting are bit-identical between
-        the two.  ``marks="cheap"`` additionally aggregates steady-state
-        schedule marks into ``Trace.mark_counts`` instead of per-op
-        records (default "full" is unchanged behavior).
+        per-sweep cache probe, no expression interpretation.
+        ``marks="cheap"`` aggregates steady-state schedule marks into
+        ``Trace.mark_counts`` instead of per-op records (default "full"
+        is unchanged behavior).
 
         ``backend`` (default from the Session) picks the execution
         backend.  With ``"multiprocessing"`` (or a
@@ -577,8 +569,8 @@ class Program:
         instance) the compiled loop path executes on real shared-memory
         worker processes -- results, schedule accounting, and the
         cost-model-stamped trace stay bit-identical to the simulator;
-        parsub routines and ``compiled=False`` runs fall back to the
-        backend's inner reference machine.
+        parsub routines fall back to the backend's inner reference
+        machine.
 
         ``session`` overrides the Session the launch executes in (the
         serving layer checks out pooled Sessions whose caches are
@@ -606,25 +598,23 @@ class Program:
             if checkpoint_every is not None:
                 return self._run_checkpointed(
                     args, kwargs, checkpoint_every=checkpoint_every,
-                    iters=iters, overlap=overlap, compiled=compiled,
+                    iters=iters, overlap=overlap,
                     marks=marks, machine=machine, backend=backend,
                     bindings=bindings, session=session,
                 )
             return self._run(
                 args, kwargs, iters=iters, overlap=overlap,
-                compiled=compiled, marks=marks, machine=machine,
+                marks=marks, machine=machine,
                 backend=backend, bindings=bindings, session=session,
             )
 
     def _run(
-        self, args, kwargs, *, iters, overlap, compiled, marks,
+        self, args, kwargs, *, iters, overlap, marks,
         machine, backend, bindings, session,
     ) -> Trace:
         sess = session if session is not None else self.session
         if iters < 1:
             raise ValidationError(f"iters must be >= 1, got {iters}")
-        if compiled is None:
-            compiled = sess.compiled
         if self.routine is not None:
             if bindings is not None:
                 raise ValidationError("bindings apply to loop programs only")
@@ -642,7 +632,7 @@ class Program:
 
             return sess.run(
                 _program, machine=machine, grid=self.grid,
-                backend=backend, compiled=compiled, marks=marks,
+                backend=backend, marks=marks,
             )
 
         if args:
@@ -655,63 +645,32 @@ class Program:
         self._apply_bindings(merged)
         loops, niters = self.loops, iters
 
-        if compiled and loops:
-            # Backends that lower frozen loop replays to real parallel
-            # execution take the whole run here; the generic path below
-            # stays generator-driven on the (possibly inner) simulator.
-            resolved = backend if backend is not None else sess.backend
-            mach = machine if machine is not None else sess.machine
-            if mach is None:
-                mach = getattr(resolved, "machine", None)
-            mach, grid = sess._resolve(mach, self.grid)
-            runner = sess._resolve_backend(backend, mach)
-            if hasattr(runner, "run_loops"):
-                trace = runner.run_loops(
-                    sess, loops, grid,
-                    iters=niters, overlap=overlap, marks=marks,
+        # Backends that lower frozen loop replays to real parallel
+        # execution take the whole run here; the generic path below
+        # stays generator-driven on the (possibly inner) simulator.
+        runner, grid = sess._runner(machine, self.grid, backend)
+        if hasattr(runner, "run_loops"):
+            trace = runner.run_loops(
+                sess, loops, grid, iters=niters, overlap=overlap, marks=marks,
+            )
+            return sess._record(trace)
+
+        from repro.compiler.schedule import replay_analysis, resolve_sweeps
+
+        def _program(ctx):
+            for analysis, reused in resolve_sweeps(ctx.session.plans, loops, niters):
+                yield from replay_analysis(
+                    ctx, analysis, overlap=overlap, reused=reused
                 )
-                return sess._record(trace)
-
-        if compiled:
-            # The steady-state fast path: resolve each loop's analysis
-            # at its first execution (one cache probe per loop per rank
-            # per *run*), then replay the frozen StepPlans directly --
-            # later sweeps skip the structural-key walk and count as-if
-            # hits so the accounting matches the interpreted path's
-            # per-sweep probes.  Loop programs contain no redistribution,
-            # so a pinned analysis cannot go stale within a run; between
-            # runs the probe picks up any layout change.
-            from repro.compiler.schedule import replay_analysis
-
-            def _program(ctx):
-                plans = ctx.session.plans
-                resolved: list = [None] * len(loops)
-                for _ in range(niters):
-                    for n, loop in enumerate(loops):
-                        if resolved[n] is None:
-                            analysis, reused = plans.analysis(loop)
-                            resolved[n] = analysis
-                        else:
-                            analysis, reused = resolved[n], True
-                            plans.count_replay("doall")
-                        yield from replay_analysis(
-                            ctx, analysis, overlap=overlap,
-                            compiled=True, reused=reused,
-                        )
-        else:
-            def _program(ctx):
-                for _ in range(niters):
-                    for loop in loops:
-                        yield from ctx.doall(loop, overlap=overlap, compiled=False)
 
         return sess.run(
             _program, machine=machine, grid=self.grid,
-            backend=backend, compiled=compiled, marks=marks,
+            backend=backend, marks=marks,
         )
 
-    def _apply_bindings(self, merged: dict) -> None:
-        """Load ``{name: global array}`` bindings into the live arrays."""
-        for name, value in merged.items():
+    def _check_bindings(self, names) -> None:
+        """Reject binding names that are unknown or ambiguous."""
+        for name in names:
             if name in self.ambiguous_names:
                 raise ValidationError(
                     f"binding {name!r} is ambiguous: several distinct "
@@ -722,11 +681,16 @@ class Program:
                     f"unknown binding {name!r}: this program's arrays are "
                     f"{sorted(self.arrays)}"
                 )
+
+    def _apply_bindings(self, merged: dict) -> None:
+        """Load ``{name: global array}`` bindings into the live arrays."""
+        self._check_bindings(merged)
+        for name, value in merged.items():
             self.arrays[name].from_global(np.asarray(value))
 
     def _run_checkpointed(
         self, args, kwargs, *, checkpoint_every, iters, overlap,
-        compiled, marks, machine, backend, bindings, session,
+        marks, machine, backend, bindings, session,
     ) -> Trace:
         """Chunked-leg driver behind ``run(checkpoint_every=k)``.
 
@@ -762,7 +726,7 @@ class Program:
         while done < iters:
             leg = min(checkpoint_every, iters - done)
             trace = self._run(
-                (), {}, iters=leg, overlap=overlap, compiled=compiled,
+                (), {}, iters=leg, overlap=overlap,
                 marks=marks, machine=machine, backend=backend,
                 bindings=None, session=session,
             )
@@ -823,9 +787,9 @@ class Program:
         :class:`BatchResult`.
 
         ``session`` overrides the launch Session (pooled serving);
-        ``marks``/``machine`` are as in :meth:`run`.  The batched
-        executor is always the compiled path (there is no interpreted
-        batch twin) and runs on the **simulator backend only**: passing
+        ``marks``/``machine`` are as in :meth:`run`.  The batched run
+        replays the same frozen plans as :meth:`run` (there is no
+        interpreted batch twin) on the **simulator backend only**: passing
         any other ``backend`` raises :class:`ValidationError` (it used
         to be silently ignored), and a Session whose *default* backend
         is non-simulator is routed to the simulator with an explicit
@@ -872,17 +836,7 @@ class Program:
         if iters < 1:
             raise ValidationError(f"iters must be >= 1, got {iters}")
         for b in bindings:
-            for name in b:
-                if name in self.ambiguous_names:
-                    raise ValidationError(
-                        f"binding {name!r} is ambiguous: several distinct "
-                        "arrays share that name; give them unique names"
-                    )
-                if name not in self.arrays:
-                    raise ValidationError(
-                        f"unknown binding {name!r}: this program's arrays "
-                        f"are {sorted(self.arrays)}"
-                    )
+            self._check_bindings(b)
         nbatch = len(bindings)
         loops, niters = self.loops, iters
         grid = self.grid
@@ -918,30 +872,18 @@ class Program:
             for (uid, r), batched in blocks.items():
                 batched[b] = arrays[uid].local(r)
 
-        from repro.compiler.schedule import replay_batch_analysis
+        from repro.compiler.schedule import replay_batch_analysis, resolve_sweeps
 
-        # Same resolve-once steady-state discipline as the compiled
-        # path in _run: one cache probe per loop per rank per run,
-        # replays counted as-if hits.
         def _program(ctx):
             me = ctx.rank
             myblocks = {
                 uid: batched for (uid, r), batched in blocks.items() if r == me
             }
-            plans = ctx.session.plans
-            resolved: list = [None] * len(loops)
-            for _ in range(niters):
-                for n, loop in enumerate(loops):
-                    if resolved[n] is None:
-                        analysis, reused = plans.analysis(loop)
-                        resolved[n] = analysis
-                    else:
-                        analysis, reused = resolved[n], True
-                        plans.count_replay("doall")
-                    yield from replay_batch_analysis(
-                        ctx, analysis, myblocks, nbatch,
-                        overlap=overlap, reused=reused,
-                    )
+            for analysis, reused in resolve_sweeps(ctx.session.plans, loops, niters):
+                yield from replay_batch_analysis(
+                    ctx, analysis, myblocks, nbatch,
+                    overlap=overlap, reused=reused,
+                )
 
         trace = sess.run(
             _program, machine=machine, grid=grid, marks=marks,

@@ -138,7 +138,7 @@ class RecoveryEvent:
         self.attempt = int(attempt)
         #: ``"retry"``, ``"degrade"``, or ``"gave-up"``
         self.action = action
-        #: backend the retry ran on (after any degradation)
+        #: name of the backend the retry ran on (after any degradation)
         self.backend = backend
 
     def as_dict(self) -> dict:
@@ -200,6 +200,16 @@ class RecoveryLog:
             f"RecoveryLog(retries={self.retries}, "
             f"degradations={self.degradations}, gave_up={self.gave_up})"
         )
+
+
+def _backend_name(backend, session) -> str:
+    """Plain name of a run's backend: ``None`` resolves to the
+    session's default, an instance to its class name."""
+    if backend is None:
+        backend = session.backend
+    if backend is None:
+        return "simulator"
+    return backend if isinstance(backend, str) else type(backend).__name__
 
 
 def _cause_of(exc: BaseException) -> str:
@@ -365,7 +375,8 @@ class Supervisor:
         if retries > policy.max_retries:
             self.log.record(RecoveryEvent(
                 cause=cause, ranks=ranks, sweep=sweep, backoff_s=0.0,
-                attempt=retries, action="gave-up", backend=str(backend),
+                attempt=retries, action="gave-up",
+                backend=_backend_name(backend, sess),
             ))
             raise exc
         action = "retry"
@@ -385,7 +396,8 @@ class Supervisor:
         backoff_s = policy.backoff(consecutive)
         self.log.record(RecoveryEvent(
             cause=cause, ranks=ranks, sweep=sweep, backoff_s=backoff_s,
-            attempt=retries, action=action, backend=str(backend),
+            attempt=retries, action=action,
+            backend=_backend_name(backend, sess),
         ))
         policy.sleep(backoff_s)
         return backend, retries, consecutive

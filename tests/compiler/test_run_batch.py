@@ -7,6 +7,8 @@ replaying the frozen schedules once per sweep (same wire message count
 as a single run, payload slots widened by the batch factor).
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,9 @@ def _dist_of(kind: str):
 
 @st.composite
 def batch_cases(draw):
+    # "2d-perm" stores v(j, i) from a loop over (i, j): the permuted box
+    # store whose perm/boxshape the batched plan rewrites
+    loop_kind = draw(st.sampled_from(["1d", "2d-perm"]))
     p = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=max(8, 2 * p), max_value=20))
     kind = draw(st.sampled_from(["block", "cyclic", "blockcyclic-2"]))
@@ -160,11 +165,26 @@ def batch_cases(draw):
     overlap = draw(st.booleans())
     iters = draw(st.integers(min_value=1, max_value=3))
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    return p, n, kind, wkind, nb, overlap, iters, seed
+    return loop_kind, p, n, kind, wkind, nb, overlap, iters, seed
 
 
-def _make(p, n, kind, wkind):
+M = 3   # second extent of the 2-D case
+
+
+def _make(loop_kind, p, n, kind, wkind):
     g = ProcessorGrid((p,))
+    if loop_kind == "2d-perm":
+        u = DistArray((n, M), g, dist=(_dist_of(kind), "*"), name="u")
+        v = DistArray((M, n), g, dist=("*", _dist_of(wkind)), name="v")
+        i, j = loopvars("i j")
+        loop = Doall(
+            vars=(i, j),
+            ranges=[(1, n - 2), (0, M - 1)],
+            on=Owner(v, (j, i)),
+            body=[Assign(v[j, i], 2.0 * u[i - 1, j] - u[i + 1, j] + 0.5)],
+            grid=g,
+        )
+        return repro.compile(loop, session=Session(Machine(n_procs=p), g))
     u = DistArray((n,), g, dist=(_dist_of(kind),), name="u")
     v = DistArray((n,), g, dist=(_dist_of(wkind),), name="v")
     (i,) = loopvars("i")
@@ -181,18 +201,28 @@ def _make(p, n, kind, wkind):
 @given(batch_cases())
 @settings(max_examples=25, deadline=None)
 def test_run_batch_bit_identical_to_looped(case):
-    p, n, kind, wkind, nb, overlap, iters, seed = case
+    loop_kind, p, n, kind, wkind, nb, overlap, iters, seed = case
     wkind = kind if wkind == "same" else wkind
     rng = np.random.default_rng(seed)
-    binds = [{"u": rng.standard_normal(n)} for _ in range(nb)]
+    shape = (n, M) if loop_kind == "2d-perm" else (n,)
+    binds = [{"u": rng.standard_normal(shape)} for _ in range(nb)]
 
-    batched = _make(p, n, kind, wkind)
-    looped = _make(p, n, kind, wkind)
+    batched = _make(loop_kind, p, n, kind, wkind)
+    looped = _make(loop_kind, p, n, kind, wkind)
     ref = _looped_reference(looped, binds, iters=iters, overlap=overlap)
     res = batched.run_batch(binds, iters=iters, overlap=overlap)
     for b in range(nb):
         np.testing.assert_array_equal(res["v"][b], ref[b]["v"])
         np.testing.assert_array_equal(res["u"][b], ref[b]["u"])
+    # one batched run puts exactly one single run's messages on the wire
+    single = _make(loop_kind, p, n, kind, wkind)
+    t1 = single.run(**binds[0], iters=iters, overlap=overlap)
+
+    def wire(trace):
+        return Counter((m.src, m.dst, m.tag) for m in trace.messages)
+
+    assert len(res.trace.messages) == len(t1.messages)
+    assert wire(res.trace) == wire(t1)
 
 
 @given(st.sampled_from(["block", "cyclic", "blockcyclic-2"]),

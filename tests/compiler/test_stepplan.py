@@ -1,13 +1,15 @@
 """The compiled replay fast path: StepPlan equivalence and lifecycle.
 
-``compiled=True`` (the default) replays frozen per-rank StepPlans;
-``compiled=False`` runs the interpreted reference executor.  Everything
+``Program.run`` and ``ctx.doall`` replay frozen per-rank StepPlans;
+``interpret_doall`` is the interpreted reference executor.  Everything
 observable -- array results, message streams, marks, compute charges,
 cache accounting -- must be bit-identical between the two.  These tests
 pin that, plus the plan-lifecycle guarantees (stale plans dropped on
 redistribution) and the snapshot-elision and cheap-marks machinery that
 ride along.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +18,11 @@ import repro
 from repro import Machine, ProcessorGrid, Session
 from repro.compiler.commgen import StepPlan, freeze_positions
 from repro.compiler.commsched import freeze_payload
-from repro.compiler.schedule import _eval_expr, drop_plans_for_array
+from repro.compiler.schedule import (
+    _eval_expr,
+    drop_plans_for_array,
+    interpret_doall,
+)
 from repro.lang import Assign, DistArray, Doall, Owner, loopvars
 from repro.lang.expr import compile_expr
 from repro.machine.ops import Recv, Send
@@ -34,7 +40,7 @@ def trace_sig(trace):
     )
 
 
-def stencil_program(n, p, dist=("block", "block"), compiled=True, backend=None):
+def stencil_program(n, p, dist=("block", "block"), backend=None):
     grid = ProcessorGrid((p, p))
     X = DistArray((n, n), grid, dist=dist, name="X")
     F = DistArray((n, n), grid, dist=dist, name="F")
@@ -46,9 +52,18 @@ def stencil_program(n, p, dist=("block", "block"), compiled=True, backend=None):
     )]
     loop = Doall(vars=(i, j), ranges=[(1, n - 2), (1, n - 2)],
                  on=Owner(X, (i, j)), body=body, grid=grid)
-    sess = Session(Machine(n_procs=p * p), grid, compiled=compiled,
-                   backend=backend)
+    sess = Session(Machine(n_procs=p * p), grid, backend=backend)
     return repro.compile(loop, session=sess), X
+
+
+def run_interpreted(prog, iters=1, overlap=False):
+    """``prog.run(iters=, overlap=)`` through the interpreted reference
+    executor: a parsub routine probing and interpreting every loop."""
+    def routine(ctx):
+        for _ in range(iters):
+            for loop in prog.loops:
+                yield from interpret_doall(ctx, loop, overlap=overlap)
+    return prog.session.run(routine, grid=prog.grid)
 
 
 def close_backend(prog):
@@ -72,10 +87,10 @@ BACKENDS = [None, "multiprocessing"]
 @pytest.mark.parametrize("overlap", [False, True])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_stencil_bit_identical(overlap, backend):
-    pa, Xa = stencil_program(20, 2, compiled=True, backend=backend)
-    pb, Xb = stencil_program(20, 2, compiled=False)
+    pa, Xa = stencil_program(20, 2, backend=backend)
+    pb, Xb = stencil_program(20, 2)
     ta = pa.run(iters=4, overlap=overlap)
-    tb = pb.run(iters=4, overlap=overlap)
+    tb = run_interpreted(pb, iters=4, overlap=overlap)
     close_backend(pa)
     np.testing.assert_array_equal(Xa.to_global(), Xb.to_global())
     assert trace_sig(ta) == trace_sig(tb)
@@ -93,10 +108,9 @@ def test_remote_write_bit_identical(backend):
         (i,) = loopvars("i")
         loop = Doall(vars=(i,), ranges=[(1, 15)], on=Owner(A, (i,)),
                      body=[Assign(B[i], A[i - 1] + 2.0 * A[i + 1])], grid=g)
-        sess = Session(Machine(n_procs=4), g, compiled=compiled,
-                       backend=backend)
+        sess = Session(Machine(n_procs=4), g, backend=backend)
         prog = repro.compile(loop, session=sess)
-        trace = prog.run(iters=3)
+        trace = prog.run(iters=3) if compiled else run_interpreted(prog, 3)
         close_backend(prog)
         return B.to_global(), trace
 
@@ -116,9 +130,9 @@ def test_diagonal_flat_store_bit_identical():
         (i,) = loopvars("i")
         loop = Doall(vars=(i,), ranges=[(0, 8)], on=Owner(A, (i, 0)),
                      body=[Assign(A[i, i], B[i, i] * 3.0 - 1.0)], grid=g)
-        sess = Session(Machine(n_procs=2), g, compiled=compiled)
+        sess = Session(Machine(n_procs=2), g)
         prog = repro.compile(loop, session=sess)
-        trace = prog.run(iters=2)
+        trace = prog.run(iters=2) if compiled else run_interpreted(prog, 2)
         return A.to_global(), trace
 
     xa, ta = run(True)
@@ -137,9 +151,9 @@ def test_strided_ranges_bit_identical():
         (i,) = loopvars("i")
         loop = Doall(vars=(i,), ranges=[(1, 14, 2)], on=Owner(v, (i,)),
                      body=[Assign(v[i], u[i - 1] + u[i + 1])], grid=g)
-        sess = Session(Machine(n_procs=2), g, compiled=compiled)
+        sess = Session(Machine(n_procs=2), g)
         prog = repro.compile(loop, session=sess)
-        trace = prog.run(iters=3)
+        trace = prog.run(iters=3) if compiled else run_interpreted(prog, 3)
         return v.to_global(), trace
 
     xa, ta = run(True)
@@ -150,14 +164,14 @@ def test_strided_ranges_bit_identical():
 
 def test_plan_accounting_identical():
     """Fast-path as-if hits keep PlanCache stats equal to per-sweep probes."""
-    pa, _ = stencil_program(16, 2, compiled=True)
-    pb, _ = stencil_program(16, 2, compiled=False)
+    pa, _ = stencil_program(16, 2)
+    pb, _ = stencil_program(16, 2)
     pa.run(iters=5)
-    pb.run(iters=5)
+    run_interpreted(pb, iters=5)
     assert (pa.session.plans.kind_stats()["doall"]
             == pb.session.plans.kind_stats()["doall"])
     pa.run(iters=3)
-    pb.run(iters=3)
+    run_interpreted(pb, iters=3)
     assert (pa.session.plans.kind_stats()["doall"]
             == pb.session.plans.kind_stats()["doall"])
     assert pa.session.hit_rates()["doall"] == pb.session.hit_rates()["doall"]
@@ -169,7 +183,7 @@ def test_plan_accounting_identical():
 
 
 def test_step_plans_dropped_with_analysis():
-    prog, X = stencil_program(16, 2, compiled=True)
+    prog, X = stencil_program(16, 2)
     prog.run(iters=2)
     plans = prog.session.plans
     (entry,) = [v for (kind, _), (v, _) in plans._entries.items() if kind == "doall"]
@@ -192,20 +206,18 @@ def test_redistribute_between_runs_regression(backend):
         (i,) = loopvars("i")
         loop = Doall(vars=(i,), ranges=[(1, 11)], on=Owner(v, (i,)),
                      body=[Assign(v[i], 0.5 * (u[i - 1] + u[i + 1]))], grid=g)
-        sess = Session(Machine(n_procs=2), g, compiled=compiled,
-                       backend=backend)
+        sess = Session(Machine(n_procs=2), g, backend=backend)
         prog = repro.compile(loop, session=sess)
         out = []
-        prog.run(iters=2)
-        out.append(v.to_global().copy())
-        u.redistribute(("cyclic",))
-        v.redistribute(("cyclic",))
-        prog.run(iters=2)
-        out.append(v.to_global().copy())
-        u.redistribute(("block",))
-        v.redistribute(("block",))
-        prog.run(iters=2)
-        out.append(v.to_global().copy())
+        for spec in [None, ("cyclic",), ("block",)]:
+            if spec is not None:
+                u.redistribute(spec)
+                v.redistribute(spec)
+            if compiled:
+                prog.run(iters=2)
+            else:
+                run_interpreted(prog, iters=2)
+            out.append(v.to_global().copy())
         close_backend(prog)
         return out
 
@@ -225,15 +237,15 @@ def test_redistribute_mid_run_bit_identical(backend):
         (i,) = loopvars("i")
         loop = Doall(vars=(i,), ranges=[(1, 10)], on=Owner(v, (i,)),
                      body=[Assign(v[i], 0.5 * (u[i - 1] + u[i + 1]))], grid=g)
-        sess = Session(Machine(n_procs=2), g, compiled=compiled,
-                       backend=backend)
+        sess = Session(Machine(n_procs=2), g, backend=backend)
 
         def program(ctx):
-            yield from ctx.doall(loop)
+            doall = ctx.doall if compiled else partial(interpret_doall, ctx)
+            yield from doall(loop)
             yield from ctx.redistribute(u, ("cyclic",))
-            yield from ctx.doall(loop)
+            yield from doall(loop)
             yield from ctx.redistribute(u, ("block",))
-            yield from ctx.doall(loop)
+            yield from doall(loop)
 
         trace = sess.run(program)
         if sess._mp_backend is not None:
@@ -258,7 +270,7 @@ def test_stale_section_still_fails_loudly_when_compiled():
     (i,) = loopvars("i")
     loop = Doall(vars=(i,), ranges=[(1, 6)], on=Owner(B, (i,)),
                  body=[Assign(B[i], sect[i] + 1.0)], grid=g)
-    sess = Session(Machine(n_procs=2), g, compiled=True)
+    sess = Session(Machine(n_procs=2), g)
     prog = repro.compile(loop, session=sess)
     prog.run()
     A.redistribute(("cyclic", "*"))
@@ -274,10 +286,10 @@ def test_stale_section_still_fails_loudly_when_compiled():
 def test_copy_in_semantics_survive_snapshot_elision():
     """The sender overwrites X in phase 4 of the same sweep its ghosts
     were sent; receivers must still observe the pre-sweep values."""
-    pa, Xa = stencil_program(12, 2, compiled=True)
-    pb, Xb = stencil_program(12, 2, compiled=False)
+    pa, Xa = stencil_program(12, 2)
+    pb, Xb = stencil_program(12, 2)
     pa.run(iters=6)
-    pb.run(iters=6)
+    run_interpreted(pb, iters=6)
     np.testing.assert_array_equal(Xa.to_global(), Xb.to_global())
 
 
@@ -390,7 +402,7 @@ def test_freeze_positions_rejects_non_boxes():
 
 
 def test_step_plan_is_memoized_per_rank():
-    prog, _ = stencil_program(12, 2, compiled=True)
+    prog, _ = stencil_program(12, 2)
     prog.run()
     plans = prog.session.plans
     (analysis,) = [v for (kind, _), (v, _) in plans._entries.items()
@@ -406,7 +418,7 @@ def test_step_plan_is_memoized_per_rank():
 
 
 def test_cheap_marks_counts_match_full():
-    pa, _ = stencil_program(14, 2, compiled=True)
+    pa, _ = stencil_program(14, 2)
     full = pa.run(iters=4)
     cheap = pa.run(iters=4, marks="cheap")
     assert cheap.level == "cheap"

@@ -2,12 +2,14 @@
 interpreted executor across distributions, stencil shapes, overlap
 modes, and mid-run redistribution.
 
-For every drawn case the same program runs once with ``compiled=True``
-(frozen StepPlans) and once with ``compiled=False`` (the interpreted
-reference).  Results, the full message stream (sources, destinations,
+For every drawn case the same program runs once through the compiled
+replay (frozen StepPlans) and once through ``interpret_doall`` (the
+interpreted reference).  Results, the full message stream (sources, destinations,
 tags, byte counts, timings), marks, compute charges, and the schedule /
 plan hit accounting must agree exactly -- not approximately.
 """
+
+from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import Machine, ProcessorGrid, Session
+from repro.compiler.schedule import interpret_doall
 from repro.lang import Assign, BlockCyclic, DistArray, Doall, Owner, loopvars
 
 
@@ -67,9 +70,15 @@ def test_compiled_equals_interpreted(case):
             body=[Assign(v[i], 2.0 * u[i - off_l] - u[i + off_r] + 0.5)],
             grid=g,
         )
-        sess = Session(Machine(n_procs=p), g, compiled=compiled)
+        sess = Session(Machine(n_procs=p), g)
         prog = repro.compile(loop, session=sess)
-        trace = prog.run(iters=iters, overlap=overlap)
+        if compiled:
+            trace = prog.run(iters=iters, overlap=overlap)
+        else:
+            def routine(ctx):
+                for _ in range(iters):
+                    yield from interpret_doall(ctx, loop, overlap=overlap)
+            trace = sess.run(routine)
         return v.to_global(), trace, prog.session
 
     xa, ta, sa = run(True)
@@ -116,12 +125,13 @@ def test_equivalence_across_mid_run_redistribution(case):
             body=[Assign(v[i], 0.5 * (u[i - 1] + u[i + 1]))],
             grid=g,
         )
-        sess = Session(Machine(n_procs=p), g, compiled=compiled)
+        sess = Session(Machine(n_procs=p), g)
 
         def program(ctx):
+            doall = ctx.doall if compiled else partial(interpret_doall, ctx)
             for kind in kinds[1:] + kinds[:1]:
                 for _ in range(sweeps):
-                    yield from ctx.doall(loop)
+                    yield from doall(loop)
                 yield from ctx.redistribute(u, (_dist_of(kind),))
 
         trace = sess.run(program)

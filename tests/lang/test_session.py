@@ -149,6 +149,22 @@ def test_program_run_twice_replays_with_bit_identical_results():
     assert fresh.plans.stats() == {"entries": 0, "hits": 0, "misses": 0}
 
 
+def test_stats_count_schedules_frozen_in_doall_plans():
+    """A compiled stencil's gather schedules are frozen inside its
+    cached doall analysis (the PlanCache), not the ScheduleCache;
+    ``stats()["schedules"]["entries"]`` counts them all the same."""
+    p = 2
+    g = ProcessorGrid((p,))
+    loop, u, v = _stencil_loop(g)
+    session = Session(Machine(n_procs=p), g)
+    session.compile(loop).run(iters=2)
+    assert len(session.cache) == 0
+    # one frozen gather schedule for u per rank
+    assert session.stats()["schedules"]["entries"] == p
+    session.clear()
+    assert session.stats()["schedules"]["entries"] == 0
+
+
 def test_kf1_source_compiles_and_runs():
     src = """
 processors procs(2)
@@ -401,6 +417,10 @@ def test_plan_keys_survive_id_reuse():
     def batch(n):
         return [DistArray((8,), g, dist=("block",), name="u") for _ in range(n)]
 
+    # collect earlier tests' cyclic garbage first: freed by the collect
+    # below, it would take the freed arrays' addresses before they can
+    # be recycled
+    gc.collect()
     old = batch(100)
     old_keys = {id(a): Owner(a, (i,)).key() for a in old}
     del old

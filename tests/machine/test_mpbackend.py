@@ -42,8 +42,8 @@ from repro.machine.trace import Trace
 from repro.util.errors import DeadlockError, ValidationError
 
 
-def jacobi_program(n, w, backend=None, session_kw=()):
-    grid = ProcessorGrid((w, 1))
+def jacobi_program(n, w, backend=None, session_kw=(), shape=None):
+    grid = ProcessorGrid(shape or (w, 1))
     X = DistArray((n, n), grid, dist=("block", "block"), name="X")
     F = DistArray((n, n), grid, dist=("block", "block"), name="F")
     F.from_global(np.random.default_rng(7).standard_normal((n, n)))
@@ -57,7 +57,7 @@ def jacobi_program(n, w, backend=None, session_kw=()):
         )],
         grid=grid,
     )
-    sess = Session(Machine(n_procs=w), grid, backend=backend,
+    sess = Session(Machine(n_procs=grid.size), grid, backend=backend,
                    **dict(session_kw))
     return repro.compile(loop, session=sess), X
 
@@ -186,6 +186,26 @@ def test_worker_killed_outright_fails_loudly_not_hangs(inject_fault):
     msg = str(exc_info.value)
     assert "-- rank 1 --" in msg
     assert "died" in msg
+
+
+def test_failed_ranks_name_only_the_ranks_that_died():
+    """Survivors broken out of the sweep barrier by a peer's death
+    report their tracebacks, but they are not failed ranks: killing
+    ranks 1 and 2 of a 2x2 run reports exactly (1, 2)."""
+    from repro import faults
+    from repro.util.errors import MachineError
+
+    prog, _ = jacobi_program(12, 4, backend="multiprocessing", shape=(2, 2))
+    try:
+        with faults.kill_rank([1, 2], sweep=2) as fault:
+            with pytest.raises(MachineError) as exc_info:
+                prog.run(iters=4)
+    finally:
+        prog.session.close_backend()
+    assert exc_info.value.failed_ranks == (1, 2)
+    assert fault.fired == [(1, 2)]
+    msg = str(exc_info.value)
+    assert "-- rank 0 --" in msg and "BrokenBarrierError" in msg
 
 
 def test_pool_respawns_cleanly_after_worker_failure(inject_fault):
